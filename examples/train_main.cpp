@@ -22,9 +22,8 @@
 //              --trace-out /tmp/trace.json --metrics-out /tmp/metrics.json
 //              --dump-plan plan.json
 //
-// Planned execution (DESIGN.md §14): layers run their fused op-graph plans by
-// default; set PTDP_GRAPH=0 to fall back to the hand-written eager bodies
-// (bitwise-identical results either way). --dump-plan writes every virtual
+// Planned execution (DESIGN.md §14): layers run their fused op-graph plans,
+// the block's only training body. --dump-plan writes every virtual
 // stage's planned graph — post-fusion node sequences, value lifetimes, arena
 // slot assignment, buffer stats — as ptdp-plan-v1 JSON (path or "-" for
 // stdout) and exits without training.

@@ -148,7 +148,10 @@ class Request {
     PTDP_CHECK_EQ(payload.size(), state_->dst.size())
         << "message size mismatch on tag " << state_->key.tag << " src "
         << state_->key.src;
-    std::memcpy(state_->dst.data(), payload.data(), payload.size());
+    // An empty message leaves both pointers possibly null: skip the copy.
+    if (!payload.empty()) {
+      std::memcpy(state_->dst.data(), payload.data(), payload.size());
+    }
     state_.reset();
   }
 

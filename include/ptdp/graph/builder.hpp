@@ -4,8 +4,9 @@
 // canonical *unfused* per-block sequence — add_bias / dropout / add,
 // scale / mask / softmax as separate nodes — and build_layer_plan then runs
 // the planner passes (fusion, dtype propagation, buffer planning) unless
-// PlannerOptions says otherwise. The fused result dispatches exactly the
-// kernel order of the hand-written eager bodies.
+// PlannerOptions says otherwise. The fused plan is the block's training
+// body; the unfused plan (fuse = false) computes the same bits and serves as
+// its reference.
 
 #include "ptdp/graph/ir.hpp"
 #include "ptdp/model/config.hpp"

@@ -2,15 +2,14 @@
 
 // SequentialExecutor: runs a planned LayerPlan over a Frame (DESIGN.md §14).
 //
-// The Frame is the StageCache-equivalent for graph mode: one tensor slot per
-// plan value, owned by the LayerCache so a pipeline stage can keep many
+// The Frame is a layer's per-microbatch state (model::LayerCache): one
+// tensor slot per plan value, so a pipeline stage can keep many
 // microbatches in flight. The executor realizes the buffer plan by dropping
 // each slot at its planned last use — the freed block returns to the
 // ptdp::mem pool's size-class free list, which is exactly the arena the slot
 // assignment predicted. Activation recomputation is the plan transformation
 // fwd ++ bwd run over a frame that holds only the layer input
-// (Frame::keep_input_only), replacing the eager keep_input_only()+replay
-// special case.
+// (Frame::keep_input_only).
 //
 // Every node executes under a per-op obs::Span (static name from op_name),
 // so Perfetto timelines show the planned schedule op by op.

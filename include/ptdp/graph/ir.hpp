@@ -13,11 +13,11 @@
 // transformation — the unified node order fwd ++ bwd *is* the recompute
 // schedule, since backward nodes reference forward value ids directly.
 //
-// Bitwise contract: after the fusion pass, executing a plan dispatches the
-// exact kernel sequence the eager bodies in transformer_layer.cpp /
-// attention.cpp / mlp.cpp dispatch, with RNG streams rebuilt from the same
-// (seed, mb_tag, layer, site) keys — so graph mode is bit-identical to
-// eager mode, and PTDP_GRAPH=0 remains a pure escape hatch.
+// The plan is the transformer block's only training body. Dropout RNG
+// streams are rebuilt from (seed, mb_tag, layer, site) keys, so a recompute
+// replays the forward bitwise, and the fused and unfused plans of one block
+// compute bit-identical results (graph_plan_test keeps the unfused plan as
+// the independent reference for the fused one).
 
 #include <cstdint>
 #include <string>
@@ -33,8 +33,9 @@ inline constexpr ValueId kNoValue = -1;
 
 /// Every operation a plan can schedule. Fused kinds are what the §4.2
 /// kernels provide; their unfused counterparts exist only pre-fusion (and in
-/// unfused plans kept for the three-way bench) — the fusion pass rewrites
-/// them jointly across the forward and backward graphs.
+/// unfused plans kept as the test reference and the fusion bench's
+/// baseline) — the fusion pass rewrites them jointly across the forward and
+/// backward graphs.
 enum class OpKind : std::uint8_t {
   // structural (metadata views + head split/merge copies)
   kView2D,             ///< [s,b,h] -> [s*b,h] (zero-copy)
@@ -176,14 +177,5 @@ struct StagePlan {
   bool has_head = false;
   bool recompute = false;
 };
-
-// ---- runtime switch --------------------------------------------------------------
-// Graph execution is the default; PTDP_GRAPH=0 (or set_enabled(false))
-// restores the hand-written eager bodies. Mirrors mem::set_pool_enabled.
-
-/// True when model layers should execute planned graphs.
-bool enabled();
-/// Runtime override (tests, benches). Returns the previous value.
-bool set_enabled(bool on);
 
 }  // namespace ptdp::graph

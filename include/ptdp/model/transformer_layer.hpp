@@ -2,41 +2,28 @@
 
 // One pre-LayerNorm GPT transformer block:
 //   h1 = x + dropout(attn(LN1(x)) + proj_bias)
-//   y  = h1 + dropout(mlp(LN2(h1)) + fc2_bias)
-// with the bias+dropout+add fusions of §4.2.
+//   y  = h1 + dropout(fc2(gelu(fc1(LN2(h1)) + fc1_bias)) + fc2_bias)
+// with the bias+GeLU and bias+dropout+add fusions of §4.2. The MLP
+// (Fig. 5a) is a column-parallel fc1 (h -> 4h) and a row-parallel fc2
+// (4h -> h), both with their bias left to the fused kernels.
 //
 // Execution is planned: the block builds its ptdp::graph LayerPlans once
 // (fusion + dtype + buffer passes, DESIGN.md §14) and forward/backward run
-// them through the SequentialExecutor — bit-identical to the hand-written
-// eager bodies, which remain available behind PTDP_GRAPH=0. Both paths are
-// functional over an explicit LayerCache so a pipeline stage can hold many
-// microbatches in flight, and so activation recomputation can rebuild state
-// from the stashed input.
+// them through the SequentialExecutor. The plans are the block's only
+// training body. Execution is functional over an explicit LayerCache so a
+// pipeline stage can hold many microbatches in flight, and so activation
+// recomputation can rebuild state from the stashed input.
 
 #include "ptdp/dist/comm.hpp"
 #include "ptdp/graph/executor.hpp"
 #include "ptdp/model/attention.hpp"
-#include "ptdp/model/mlp.hpp"
 #include "ptdp/tensor/ops.hpp"
 
 namespace ptdp::model {
 
-struct LayerCache {
-  tensor::Tensor input;  ///< [s, b, h] — the only tensor kept under recompute
-  tensor::LayerNormResult ln1, ln2;
-  AttentionCache attn;
-  MlpCache mlp;
-  tensor::Tensor h1;  ///< post-attention residual stream [s*b, h] (2-D view shape)
-  tensor::Tensor attn_resid_mask, mlp_resid_mask;
-  graph::Frame frame;  ///< graph-mode execution state (empty in eager mode)
-
-  /// Drops everything except the input (activation recomputation, §3.5).
-  void keep_input_only() {
-    frame.keep_input_only();
-    *this = LayerCache{std::move(input), {}, {}, {}, {}, {}, {}, {},
-                       std::move(frame)};
-  }
-};
+/// A layer's state for one microbatch in flight: the planned forward's
+/// values, one per plan value. keep_input_only() is the §3.5 drop.
+using LayerCache = graph::Frame;
 
 class TransformerLayer {
  public:
@@ -47,23 +34,24 @@ class TransformerLayer {
   tensor::Tensor forward(const tensor::Tensor& x, LayerCache& cache,
                          std::uint64_t mb_tag);
 
-  /// dy: [s, b, h]; returns dx and accumulates all parameter grads. In graph
-  /// mode the cache's frame slots are released at their planned last use.
+  /// dy: [s, b, h]; returns dx and accumulates all parameter grads. The
+  /// cache's slots are released at their planned last use.
   tensor::Tensor backward(const tensor::Tensor& dy, LayerCache& cache);
 
   /// Incremental decode over a KV cache: x is [rows, h] (see
   /// ParallelAttention::forward_decode for the batch layout). Runs the
-  /// eager block body with the attention swapped for the KV-cached path;
-  /// row-wise ops are batched across sequences. Returns [rows, h],
-  /// bitwise the full forward's rows at the same positions. Dropout must
-  /// be 0 (no mask sites fire, so no mb_tag is needed).
+  /// block's kernels in the planned forward's order with the attention
+  /// swapped for the KV-cached path; row-wise ops are batched across
+  /// sequences. Returns [rows, h], bitwise the full forward's rows at the
+  /// same positions. Dropout must be 0 (no mask sites fire, so no mb_tag is
+  /// needed).
   tensor::Tensor forward_decode(const tensor::Tensor& x,
                                 std::span<const DecodeSeq> seqs, KvStore& kv);
 
   /// Backward with activation recomputation (§3.5): the cache holds only the
-  /// layer input. Graph mode runs the fwd ++ bwd recompute plan; eager mode
-  /// replays forward() then runs backward(). `mb_tag` must match the
-  /// original forward so the counter-based dropout streams replay bitwise.
+  /// layer input; the fwd ++ bwd recompute plan rebuilds the rest. `mb_tag`
+  /// must match the original forward so the counter-based dropout streams
+  /// replay bitwise.
   tensor::Tensor backward_recompute(const tensor::Tensor& dy, LayerCache& cache,
                                     std::uint64_t mb_tag);
 
@@ -82,15 +70,12 @@ class TransformerLayer {
   const graph::LayerBinding& binding() const { return binding_; }
 
  private:
-  tensor::Tensor forward_eager(const tensor::Tensor& x, LayerCache& cache,
-                               std::uint64_t mb_tag);
-  tensor::Tensor backward_eager(const tensor::Tensor& dy, const LayerCache& cache);
-
   GptConfig config_;
   std::int64_t layer_idx_;
   Param ln1_gamma_, ln1_beta_, ln2_gamma_, ln2_beta_;
   ParallelAttention attention_;
-  ParallelMlp mlp_;
+  ColumnParallelLinear fc1_;
+  RowParallelLinear fc2_;
   graph::LayerPlan plan_nodrop_, plan_drop_;
   graph::LayerBinding binding_;  ///< self-referential: layer is pinned by
                                  ///< unique_ptr ownership (no copies/moves)

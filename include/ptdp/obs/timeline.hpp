@@ -62,6 +62,11 @@ struct BatchTimeline {
   double makespan_ns = 0;    ///< replayed makespan
   double ideal_ns = 0;       ///< mean per-rank busy time (t_id)
   double bubble_fraction = 0;  ///< (makespan − ideal) / ideal
+  /// Imbalance-aware reference: the bubble of the same schedule with every
+  /// (virtual stage, fwd/bwd) op at its median measured cost in this batch.
+  /// Equals (p−1)/(v·m) when all stages cost the same; moves away from it
+  /// when the first/last stages also run the embedding/LM head.
+  double reference_bubble_fraction = 0;
   double critical_path_ns = 0;
   std::vector<std::string> critical_path;  ///< "stage2:bwd(mb=3,vs=1)" chain
 };
@@ -72,6 +77,8 @@ struct TimelineReport {
   double bubble_fraction = 0;
   /// Analytic (p−1)/(v·m) from the observed p, m, v — for side-by-side.
   double analytic_bubble_fraction = 0;
+  /// Median of the per-batch imbalance-aware reference bubbles.
+  double reference_bubble_fraction = 0;
   /// Raw wall-clock view over the whole window (all batches).
   double wall_window_ns = 0;
   double wall_bubble_fraction = 0;

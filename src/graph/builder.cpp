@@ -209,7 +209,7 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   e.node(F, OpKind::kAdd, {d2, h1}, {y2d});
   e.node(F, OpKind::kView3D, {y2d}, {y});
 
-  // ---- backward (mirrors the eager accumulation order exactly) ---------------
+  // ---- backward (grads accumulate in this fixed order) ------------------------
   auto& B = plan.bwd;
   e.node(B, OpKind::kView2D, {dy}, {dy2d});
   if (with_dropout) e.node(B, OpKind::kDropoutBwd, {dy2d, mask2}, {db2});

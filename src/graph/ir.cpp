@@ -1,8 +1,5 @@
 #include "ptdp/graph/ir.hpp"
 
-#include <atomic>
-#include <cstdlib>
-
 namespace ptdp::graph {
 
 const char* op_name(OpKind kind) {
@@ -42,22 +39,6 @@ const char* op_name(OpKind kind) {
     case OpKind::kLinearFwdQuant: return "graph.linear_fwd_quant";
   }
   return "graph.unknown";
-}
-
-namespace {
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("PTDP_GRAPH");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }();
-  return flag;
-}
-}  // namespace
-
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
-
-bool set_enabled(bool on) {
-  return enabled_flag().exchange(on, std::memory_order_relaxed);
 }
 
 }  // namespace ptdp::graph

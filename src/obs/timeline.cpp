@@ -146,6 +146,23 @@ BatchTimeline replay_batch(const GroupKey& key, std::vector<OpSample> ops) {
   return out;
 }
 
+// The same ops with every (virtual stage, fwd/bwd) op at its median cost in
+// the batch: per-op noise drops out, stage imbalance (embedding on the first
+// stage, LM head on the last) stays in. Replaying it gives the analytic
+// bubble at the measured stage costs.
+std::vector<OpSample> at_stage_medians(std::vector<OpSample> ops) {
+  std::map<std::pair<int, bool>, std::vector<double>> costs;
+  for (const OpSample& op : ops) costs[{op.vs, op.backward}].push_back(op.dur_ns);
+  std::map<std::pair<int, bool>, double> median;
+  for (auto& [k, v] : costs) {
+    const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+    std::nth_element(v.begin(), mid, v.end());
+    median[k] = *mid;
+  }
+  for (OpSample& op : ops) op.dur_ns = median.at({op.vs, op.backward});
+  return ops;
+}
+
 }  // namespace
 
 TimelineReport analyze_events(const std::vector<TraceEvent>& events,
@@ -197,17 +214,23 @@ TimelineReport analyze_events(const std::vector<TraceEvent>& events,
   }
 
   for (auto& [key, ops] : groups) {
-    report.batches.push_back(replay_batch(key, std::move(ops)));
+    BatchTimeline b = replay_batch(key, ops);
+    b.reference_bubble_fraction =
+        replay_batch(key, at_stage_medians(std::move(ops))).bubble_fraction;
+    report.batches.push_back(std::move(b));
   }
   for (auto& [rank, rt] : ranks) report.ranks.push_back(rt);
 
   if (!report.batches.empty()) {
-    std::vector<double> bubbles;
+    std::vector<double> bubbles, references;
     for (const BatchTimeline& b : report.batches) {
       bubbles.push_back(b.bubble_fraction);
+      references.push_back(b.reference_bubble_fraction);
     }
     std::sort(bubbles.begin(), bubbles.end());
+    std::sort(references.begin(), references.end());
     report.bubble_fraction = bubbles[bubbles.size() / 2];
+    report.reference_bubble_fraction = references[references.size() / 2];
 
     // Analytic (p−1)/(v·m) from the largest observed batch: v = virtual
     // stages / pipeline ranks.
@@ -252,9 +275,11 @@ std::string format_report(const TimelineReport& report) {
   char line[256];
   std::snprintf(line, sizeof(line),
                 "pipeline timeline: %zu batch(es), measured bubble %.4f "
-                "(analytic (p-1)/(v*m) = %.4f), wall-clock bubble %.4f\n",
+                "(analytic (p-1)/(v*m) = %.4f, at measured stage costs %.4f), "
+                "wall-clock bubble %.4f\n",
                 report.batches.size(), report.bubble_fraction,
-                report.analytic_bubble_fraction, report.wall_bubble_fraction);
+                report.analytic_bubble_fraction,
+                report.reference_bubble_fraction, report.wall_bubble_fraction);
   out += line;
   for (const BatchTimeline& b : report.batches) {
     std::snprintf(line, sizeof(line),

@@ -42,22 +42,23 @@ Microbatch mlm_microbatch(const GptConfig& c, std::int64_t b, std::uint64_t tag)
 
 TEST(BidirectionalAttention, SeesFutureTokens) {
   // In a causal model, changing a future token cannot affect an earlier
-  // position's activation; in the bidirectional model it must.
+  // position's activation; in the bidirectional model it must. Attention is
+  // the block's only cross-position op, so the whole layer shows it.
   GptConfig causal = bert_config();
   causal.causal = true;
   GptConfig bidir = bert_config();
 
   for (const GptConfig* cfg : {&causal, &bidir}) {
     dist::Comm solo = dist::Comm::solo();
-    ParallelAttention attn(*cfg, 0, solo);
+    TransformerLayer layer(*cfg, 0, solo);
     Rng rng(1);
     tensor::Tensor x = tensor::Tensor::randn({cfg->seq, 1, cfg->hidden}, rng);
-    AttentionCache cache1, cache2;
-    tensor::Tensor y1 = attn.forward(x, cache1, 1);
+    LayerCache cache1, cache2;
+    tensor::Tensor y1 = layer.forward(x, cache1, 1);
     // Perturb the last position's input.
     tensor::Tensor x2 = x.clone();
     x2.at({cfg->seq - 1, 0, 0}) += 1.0f;
-    tensor::Tensor y2 = attn.forward(x2, cache2, 1);
+    tensor::Tensor y2 = layer.forward(x2, cache2, 1);
     // Compare position 0's output.
     float diff = 0.0f;
     for (std::int64_t j = 0; j < cfg->hidden; ++j) {
@@ -77,17 +78,17 @@ TEST(BidirectionalAttention, TensorParallelMatchesSerial) {
   tensor::Tensor x = tensor::Tensor::randn({c.seq, 2, c.hidden}, rng);
   tensor::Tensor dy = tensor::Tensor::randn({c.seq, 2, c.hidden}, rng);
   dist::Comm solo = dist::Comm::solo();
-  ParallelAttention ref(c, 0, solo);
-  AttentionCache ref_cache;
+  TransformerLayer ref(c, 0, solo);
+  LayerCache ref_cache;
   tensor::Tensor ref_y = ref.forward(x, ref_cache, 1);
   tensor::Tensor ref_dx = ref.backward(dy, ref_cache);
 
   dist::World world(4);
   world.run([&](dist::Comm& comm) {
-    ParallelAttention attn(c, 0, comm);
-    AttentionCache cache;
-    EXPECT_TRUE(tensor::allclose(attn.forward(x, cache, 1), ref_y, 1e-4f, 1e-5f));
-    EXPECT_TRUE(tensor::allclose(attn.backward(dy, cache), ref_dx, 1e-4f, 1e-5f));
+    TransformerLayer layer(c, 0, comm);
+    LayerCache cache;
+    EXPECT_TRUE(tensor::allclose(layer.forward(x, cache, 1), ref_y, 1e-4f, 1e-5f));
+    EXPECT_TRUE(tensor::allclose(layer.backward(dy, cache), ref_dx, 1e-4f, 1e-5f));
   });
 }
 

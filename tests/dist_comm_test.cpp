@@ -108,6 +108,25 @@ TEST(Comm, SendRecvOfTrivialStructs) {
   });
 }
 
+TEST(Comm, ZeroLengthSendRecvCompletes) {
+  // An empty span may carry a null data pointer; neither the send-side copy
+  // into the mailbox nor the receive-side delivery may hand it to memcpy
+  // (-fsanitize=undefined reports a null argument otherwise).
+  World world(2);
+  world.run([](Comm& comm) {
+    const float after = 4.f;
+    if (comm.rank() == 0) {
+      comm.send(std::span<const float>(), 1, /*tag=*/11);
+      comm.send(std::span<const float>(&after, 1), 1, /*tag=*/11);
+    } else {
+      comm.recv(std::span<float>(), 0, /*tag=*/11);
+      float got = 0.f;
+      comm.recv(std::span<float>(&got, 1), 0, /*tag=*/11);
+      EXPECT_EQ(got, after);  // the empty message consumed exactly one slot
+    }
+  });
+}
+
 // ---- nonblocking point-to-point (Request) ---------------------------------
 
 TEST(CommRequest, IsendIsBornComplete) {

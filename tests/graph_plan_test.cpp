@@ -1,13 +1,15 @@
 // ptdp::graph planner tests (DESIGN.md §14):
 //   1. The builder emits the canonical unfused block and the fusion pass
-//      rewrites it to exactly the kernel sequence of the hand-written eager
-//      bodies (golden IR checks, pass by pass).
+//      rewrites it to the fused §4.2 kernel sequence (golden IR checks, pass
+//      by pass).
 //   2. Fusion legality: pinned intermediates block their pattern.
 //   3. Buffer planning: values sharing an arena slot have disjoint lifetimes
 //      and identical (bytes, dtype); every planned value gets a slot.
 //   4. §13 dtype propagation marks exactly the cached GEMM inputs bf16.
-//   5. Graph execution is bitwise-identical to the eager bodies — forward,
-//      backward, and the recompute plan transformation.
+//   5. The layer's fused plan is bitwise-identical to its unfused plan (the
+//      independent reference made only of primitive kernels) — forward,
+//      backward, recompute, dx and every parameter grad — and the recompute
+//      plan transformation changes nothing vs the stashed-activation path.
 
 #include <gtest/gtest.h>
 
@@ -254,15 +256,18 @@ TEST(GraphPasses, Bf16MarksExactlyTheCachedGemmInputs) {
   }
 }
 
-// ---- 5. graph == eager, bitwise -------------------------------------------
+// ---- 5. fused plan == unfused plan, bitwise ------------------------------
 
 struct LayerRun {
   Tensor y, dx;
   std::map<std::string, Tensor> grads;
 };
 
-LayerRun run_layer(const GptConfig& c, bool use_graph, bool recompute) {
-  const bool prev = set_enabled(use_graph);
+// One forward + backward of layer 0 on fixed inputs. With `reference` set,
+// the layer's modules run an unfused plan (fusion pass off: primitive
+// add_bias / gelu / dropout / add / softmax kernels only) through the
+// executor; otherwise the layer runs its own fused plan.
+LayerRun run_layer(const GptConfig& c, bool recompute, bool reference = false) {
   dist::Comm solo = dist::Comm::solo();
   model::TransformerLayer layer(c, /*global_layer_idx=*/0, solo);
   Rng rng(c.seed, substream(9, 9));
@@ -273,16 +278,35 @@ LayerRun run_layer(const GptConfig& c, bool use_graph, bool recompute) {
   for (model::Param* p : params) p->zero_grad();
 
   LayerRun out;
-  model::LayerCache cache;
-  out.y = layer.forward(x, cache, /*mb_tag=*/7);
-  if (recompute) {
-    cache.keep_input_only();
-    out.dx = layer.backward_recompute(dy, cache, /*mb_tag=*/7);
+  const std::uint64_t mb_tag = 7;
+  if (reference) {
+    PlannerOptions opts;
+    opts.fuse = false;
+    const LayerPlan plan = build_layer_plan(c, c.dropout > 0.0f, opts);
+    EXPECT_EQ(plan.num_fusions, 0);
+    const ExecContext ctx{c.seq, 2, mb_tag, c.dropout};
+    Frame frame;
+    frame.begin(plan, x);
+    out.y = SequentialExecutor::run_forward(plan, frame, layer.binding(), ctx);
+    if (recompute) {
+      frame.keep_input_only();
+      out.dx = SequentialExecutor::run_recompute(plan, frame, layer.binding(),
+                                                 ctx, dy);
+    } else {
+      out.dx = SequentialExecutor::run_backward(plan, frame, layer.binding(),
+                                                ctx, dy);
+    }
   } else {
-    out.dx = layer.backward(dy, cache);
+    model::LayerCache cache;
+    out.y = layer.forward(x, cache, mb_tag);
+    if (recompute) {
+      cache.keep_input_only();
+      out.dx = layer.backward_recompute(dy, cache, mb_tag);
+    } else {
+      out.dx = layer.backward(dy, cache);
+    }
   }
   for (model::Param* p : params) out.grads.emplace(p->name, p->grad.clone());
-  set_enabled(prev);
   return out;
 }
 
@@ -296,47 +320,46 @@ void expect_bitwise(const LayerRun& a, const LayerRun& b) {
   }
 }
 
-TEST(GraphExecutor, BitwiseMatchesEagerLayer) {
+TEST(GraphExecutor, FusedPlanMatchesUnfusedPlan) {
   for (const float dropout : {0.0f, 0.3f}) {
     for (const auto dtype : {tensor::DType::kF32, tensor::DType::kBf16}) {
-      GptConfig c = tiny_config(dropout);
-      c.dtype = dtype;
-      SCOPED_TRACE("dropout=" + std::to_string(dropout) +
-                   " dtype=" + tensor::dtype_name(dtype));
-      expect_bitwise(run_layer(c, /*use_graph=*/true, /*recompute=*/false),
-                     run_layer(c, /*use_graph=*/false, /*recompute=*/false));
+      for (const bool recompute : {false, true}) {
+        GptConfig c = tiny_config(dropout);
+        c.dtype = dtype;
+        SCOPED_TRACE("dropout=" + std::to_string(dropout) +
+                     " dtype=" + tensor::dtype_name(dtype) +
+                     " recompute=" + std::to_string(recompute));
+        expect_bitwise(run_layer(c, recompute),
+                       run_layer(c, recompute, /*reference=*/true));
+      }
     }
   }
 }
 
-TEST(GraphExecutor, RecomputePlanBitwiseMatchesEagerReplay) {
+TEST(GraphExecutor, RecomputePlanBitwiseMatchesStash) {
   for (const float dropout : {0.0f, 0.3f}) {
     GptConfig c = tiny_config(dropout);
     SCOPED_TRACE("dropout=" + std::to_string(dropout));
-    const LayerRun graph_rc = run_layer(c, true, /*recompute=*/true);
-    expect_bitwise(graph_rc, run_layer(c, false, /*recompute=*/true));
-    // And recompute must change nothing vs stashed-activation backward.
-    expect_bitwise(graph_rc, run_layer(c, true, /*recompute=*/false));
+    expect_bitwise(run_layer(c, /*recompute=*/true),
+                   run_layer(c, /*recompute=*/false));
   }
 }
 
 TEST(GraphExecutor, EvalDropoutZeroReusesTrainingTopology) {
-  // set_dropout(0) must not invalidate the plan the forward ran with: the
-  // probability is an ExecContext input, the topology is fixed at build.
+  // Eval mode on a dropout-built layer (set_dropout(0)) must compute exactly
+  // what a layer built with dropout 0 computes: same weights (the dropout
+  // probability feeds no init stream), no mask site firing.
   GptConfig c = tiny_config(0.2f);
   dist::Comm solo = dist::Comm::solo();
-  model::TransformerLayer layer(c, 0, solo);
-  layer.set_dropout(0.0f);
+  model::TransformerLayer evaluated(c, 0, solo);
+  evaluated.set_dropout(0.0f);
+  model::TransformerLayer built_without(tiny_config(0.0f), 0, solo);
   Rng rng(c.seed, substream(3, 3));
   const Tensor x = Tensor::randn({c.seq, 2, c.hidden}, rng);
-  model::LayerCache cache;
-  const bool prev = set_enabled(true);
-  const Tensor y_graph = layer.forward(x, cache, 1);
-  set_enabled(false);
-  model::LayerCache cache_eager;
-  const Tensor y_eager = layer.forward(x, cache_eager, 1);
-  set_enabled(prev);
-  EXPECT_EQ(tensor::max_abs_diff(y_graph, y_eager), 0.0f);
+  model::LayerCache cache_eval, cache_ref;
+  const Tensor y_eval = evaluated.forward(x, cache_eval, 1);
+  const Tensor y_ref = built_without.forward(x, cache_ref, 1);
+  EXPECT_EQ(tensor::max_abs_diff(y_eval, y_ref), 0.0f);
 }
 
 // ---- plan dump -------------------------------------------------------------

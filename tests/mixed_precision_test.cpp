@@ -13,11 +13,11 @@
 #include <limits>
 #include <vector>
 
+#include "layer_probe.hpp"
 #include "ptdp/comm/grad_reducer.hpp"
 #include "ptdp/core/engine.hpp"
 #include "ptdp/data/dataset.hpp"
 #include "ptdp/dist/world.hpp"
-#include "ptdp/model/attention.hpp"
 #include "ptdp/optim/mixed_precision.hpp"
 #include "ptdp/optim/optimizer.hpp"
 #include "ptdp/runtime/parallel_for.hpp"
@@ -178,8 +178,9 @@ TEST(MixedPrecisionGemm, Beta0FastPathIgnoresStalePoolBytes) {
 // ---- attention under bf16 weights -------------------------------------------
 
 TEST(MixedPrecisionAttention, ForwardMatchesF32WithinTableTolerance) {
-  // Same seed → the bf16 attention's weights are exactly the rounded f32
-  // weights; the forward gap is bounded by the attention row of the table.
+  // Same seed → the bf16 layer's weights are exactly the rounded f32
+  // weights; the gap in the attention sublayer's output (read from the
+  // planned layer's frame) is bounded by the attention row of the table.
   GptConfig c;
   c.num_layers = 1;
   c.hidden = 16;
@@ -192,19 +193,23 @@ TEST(MixedPrecisionAttention, ForwardMatchesF32WithinTableTolerance) {
   world.run([&](dist::Comm& comm) {
     GptConfig c16 = c;
     c16.dtype = DType::kBf16;
-    model::ParallelAttention attn32(c, /*global_layer_idx=*/0, comm);
-    model::ParallelAttention attn16(c16, /*global_layer_idx=*/0, comm);
     Rng rng(5);
     const Tensor x = Tensor::randn({c.seq, 2, c.hidden}, rng);
-    model::AttentionCache cache32, cache16;
-    const Tensor y32 = attn32.forward(x, cache32, /*mb_tag=*/0);
-    const Tensor y16 = attn16.forward(x, cache16, /*mb_tag=*/0);
+    const Tensor dy = Tensor::randn({c.seq, 2, c.hidden}, rng);
+    const model::LayerProbe r32 =
+        model::probe_layer(c, comm, x, dy, /*mb_tag=*/0, {"attn.out"});
+    const model::LayerProbe r16 =
+        model::probe_layer(c16, comm, x, dy, /*mb_tag=*/0, {"attn.out"});
+    const Tensor& y32 = r32.values.at("attn.out");
+    const Tensor& y16 = r16.values.at("attn.out");
     const Tol tol = attention_tol(DType::kBf16);
     EXPECT_TRUE(tensor::allclose(y16, y32, tol.rtol, tol.atol))
         << "gap " << tensor::max_abs_diff(y16, y32);
     // The backward produces f32 grads regardless of weight dtype.
-    const Tensor dx16 = attn16.backward(y32, cache16);
-    EXPECT_EQ(dx16.dtype(), DType::kF32);
+    EXPECT_EQ(r16.dx.dtype(), DType::kF32);
+    for (const auto& [name, grad] : r16.grads) {
+      EXPECT_EQ(grad.dtype(), DType::kF32) << name;
+    }
   });
 }
 

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "layer_probe.hpp"
 #include "ptdp/dist/world.hpp"
 #include "ptdp/model/stage.hpp"
 #include "ptdp/tensor/ops.hpp"
@@ -159,50 +161,62 @@ INSTANTIATE_TEST_SUITE_P(TensorSizes, TensorParallelLinearTest,
 
 class TensorParallelBlockTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(TensorParallelBlockTest, AttentionMatchesSerial) {
-  const int t = GetParam();
+// Axis along which a layer parameter is sharded over tensor ranks, or -1
+// when replicated (Fig. 5): column-parallel qkv/fc1 split their output
+// columns (weight axis 1, bias axis 0); row-parallel proj/fc2 split their
+// weight's input rows and replicate the bias.
+int shard_axis(const std::string& name) {
+  const bool weight = name.ends_with(".weight");
+  if (name.find(".qkv.") != std::string::npos ||
+      name.find(".fc1.") != std::string::npos) {
+    return weight ? 1 : 0;
+  }
+  if (name.find(".proj.") != std::string::npos ||
+      name.find(".fc2.") != std::string::npos) {
+    return weight ? 0 : -1;
+  }
+  return -1;
+}
+
+// One sublayer of the planned layer at tensor size t: its all-reduced output
+// `value` (read from the frame) and the grads of its `prefix` parameters
+// (this rank's shard) match the serial layer's.
+void expect_sublayer_matches_serial(int t, std::uint64_t seed,
+                                    const std::string& value,
+                                    const std::string& prefix) {
   GptConfig c = tiny_config();
-  Rng xrng(5);
+  Rng xrng(seed);
   Tensor x = Tensor::randn({c.seq, 3, c.hidden}, xrng);
   Tensor dy = Tensor::randn({c.seq, 3, c.hidden}, xrng);
-
-  dist::Comm solo = dist::Comm::solo();
-  ParallelAttention ref(c, 0, solo);
-  AttentionCache ref_cache;
-  Tensor ref_y = ref.forward(x, ref_cache, /*mb_tag=*/1);
-  Tensor ref_dx = ref.backward(dy, ref_cache);
+  const LayerProbe ref =
+      probe_layer(c, dist::Comm::solo(), x, dy, /*mb_tag=*/1, {value});
 
   dist::World world(t);
   world.run([&](dist::Comm& comm) {
-    ParallelAttention attn(c, 0, comm);
-    AttentionCache cache;
-    Tensor y = attn.forward(x, cache, /*mb_tag=*/1);
-    EXPECT_TRUE(tensor::allclose(y, ref_y, 1e-4f, 1e-5f));
-    Tensor dx = attn.backward(dy, cache);
-    EXPECT_TRUE(tensor::allclose(dx, ref_dx, 1e-4f, 1e-5f));
+    const LayerProbe got = probe_layer(c, comm, x, dy, /*mb_tag=*/1, {value});
+    EXPECT_TRUE(tensor::allclose(got.values.at(value), ref.values.at(value),
+                                 1e-4f, 1e-5f));
+    int checked = 0;
+    for (const auto& [name, grad] : got.grads) {
+      if (!name.starts_with(prefix)) continue;
+      const int axis = shard_axis(name);
+      const Tensor& full = ref.grads.at(name);
+      const Tensor want =
+          axis < 0 ? full
+                   : full.slice(axis, comm.rank() * grad.dim(axis), grad.dim(axis));
+      EXPECT_TRUE(tensor::allclose(grad, want, 1e-4f, 1e-5f)) << name;
+      ++checked;
+    }
+    EXPECT_EQ(checked, 4) << prefix;  // two linears, weight + bias each
   });
 }
 
+TEST_P(TensorParallelBlockTest, AttentionMatchesSerial) {
+  expect_sublayer_matches_serial(GetParam(), 5, "attn.out", "layer0.attn.");
+}
+
 TEST_P(TensorParallelBlockTest, MlpMatchesSerial) {
-  const int t = GetParam();
-  GptConfig c = tiny_config();
-  Rng xrng(6);
-  Tensor x = Tensor::randn({c.seq, 3, c.hidden}, xrng);
-  Tensor dy = Tensor::randn({c.seq, 3, c.hidden}, xrng);
-
-  dist::Comm solo = dist::Comm::solo();
-  ParallelMlp ref(c, 1, solo);
-  MlpCache ref_cache;
-  Tensor ref_y = ref.forward(x, ref_cache);
-  Tensor ref_dx = ref.backward(dy, ref_cache);
-
-  dist::World world(t);
-  world.run([&](dist::Comm& comm) {
-    ParallelMlp mlp(c, 1, comm);
-    MlpCache cache;
-    EXPECT_TRUE(tensor::allclose(mlp.forward(x, cache), ref_y, 1e-4f, 1e-5f));
-    EXPECT_TRUE(tensor::allclose(mlp.backward(dy, cache), ref_dx, 1e-4f, 1e-5f));
-  });
+  expect_sublayer_matches_serial(GetParam(), 6, "mlp.fc2.out", "layer0.mlp.");
 }
 
 TEST_P(TensorParallelBlockTest, TransformerLayerMatchesSerialWithDropout) {

@@ -8,12 +8,12 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
 #include "ptdp/dist/process_groups.hpp"
 #include "ptdp/dist/world.hpp"
-#include "ptdp/graph/ir.hpp"
 #include "ptdp/pipeline/executor.hpp"
 #include "ptdp/tensor/ops.hpp"
 
@@ -195,15 +195,35 @@ INSTANTIATE_TEST_SUITE_P(
 // identical across the modes: the strip all-gather reconstructs the exact
 // bytes a full send would have delivered, and pre-posting only moves when a
 // receive is posted, never what arrives. Also checks the measured
-// inter-stage p2p byte reduction is exactly 1/t.
+// inter-stage p2p byte reduction is exactly 1/t. Each case also names the
+// training numerics it runs with: the plain f32 model, or dropout with
+// activation recomputation in a chosen storage dtype (bf16 cases also send
+// bf16 stage boundaries, as the engine does).
 
-using SgCase = std::tuple<ScheduleType, int, int, int, int>;  // (schedule, p, t, m, v)
+struct Numerics {
+  tensor::DType dtype = tensor::DType::kF32;
+  float dropout = 0.0f;
+  bool recompute = false;
+};
+// Readable, deterministic test names (the default prints raw bytes).
+void PrintTo(const Numerics& n, std::ostream* os) {
+  *os << tensor::dtype_name(n.dtype) << (n.dropout > 0.0f ? "+dropout" : "")
+      << (n.recompute ? "+recompute" : "");
+}
+constexpr Numerics kPlain{};
+constexpr Numerics kDropRecomputeF32{tensor::DType::kF32, 0.1f, true};
+constexpr Numerics kDropRecomputeBf16{tensor::DType::kBf16, 0.1f, true};
+
+// (schedule, p, t, m, v, numerics)
+using SgCase = std::tuple<ScheduleType, int, int, int, int, Numerics>;
 
 class ScatterGatherEquivalenceTest : public ::testing::TestWithParam<SgCase> {};
 
 TEST_P(ScatterGatherEquivalenceTest, BitwiseIdenticalAcrossCommModes) {
-  const auto [type, p, t, m, v] = GetParam();
+  const auto [type, p, t, m, v, numerics] = GetParam();
   GptConfig c = tiny_config(/*layers=*/static_cast<std::int64_t>(p * v));
+  c.dtype = numerics.dtype;
+  c.dropout = numerics.dropout;
   auto mbs = make_microbatches(c, m, /*b=*/2);
   Reference ref = serial_reference(c, mbs);
 
@@ -212,11 +232,12 @@ TEST_P(ScatterGatherEquivalenceTest, BitwiseIdenticalAcrossCommModes) {
     std::map<int, float> losses;          // last-stage world rank -> loss
     std::uint64_t p2p_bytes = 0;
   };
-  const std::vector<ExecutorOptions> modes = {
+  std::vector<ExecutorOptions> modes = {
       {/*scatter_gather=*/false, /*prepost_recv=*/true},
       {/*scatter_gather=*/true, /*prepost_recv=*/true},
       {/*scatter_gather=*/true, /*prepost_recv=*/false},
   };
+  for (ExecutorOptions& mode : modes) mode.boundary_dtype = numerics.dtype;
   std::vector<ModeResult> results(modes.size());
 
   for (std::size_t mode = 0; mode < modes.size(); ++mode) {
@@ -226,7 +247,8 @@ TEST_P(ScatterGatherEquivalenceTest, BitwiseIdenticalAcrossCommModes) {
     world.run([&](dist::Comm& comm) {
       dist::ProcessGroups groups(comm, p, t, /*d=*/1);
       const int rank = groups.coord().pipeline;
-      auto chunks = build_chunks(c, groups.tensor(), p, rank, v, /*recompute=*/false);
+      auto chunks =
+          build_chunks(c, groups.tensor(), p, rank, v, numerics.recompute);
       std::vector<GptStage*> raw;
       for (auto& ch : chunks) {
         ch->zero_grads();
@@ -274,11 +296,15 @@ TEST_P(ScatterGatherEquivalenceTest, BitwiseIdenticalAcrossCommModes) {
 
 INSTANTIATE_TEST_SUITE_P(
     CommModes, ScatterGatherEquivalenceTest,
-    ::testing::Values(SgCase{ScheduleType::kOneFOneB, 2, 2, 4, 1},
-                      SgCase{ScheduleType::kGPipe, 2, 2, 2, 1},
-                      SgCase{ScheduleType::kOneFOneB, 2, 4, 4, 1},
-                      SgCase{ScheduleType::kOneFOneB, 4, 2, 4, 1},
-                      SgCase{ScheduleType::kInterleaved, 2, 2, 4, 2}));
+    ::testing::Values(
+        SgCase{ScheduleType::kOneFOneB, 2, 2, 4, 1, kPlain},
+        SgCase{ScheduleType::kGPipe, 2, 2, 2, 1, kPlain},
+        SgCase{ScheduleType::kOneFOneB, 2, 4, 4, 1, kPlain},
+        SgCase{ScheduleType::kOneFOneB, 4, 2, 4, 1, kPlain},
+        SgCase{ScheduleType::kInterleaved, 2, 2, 4, 2, kPlain},
+        SgCase{ScheduleType::kOneFOneB, 2, 2, 4, 1, kDropRecomputeF32},
+        SgCase{ScheduleType::kOneFOneB, 2, 2, 4, 1, kDropRecomputeBf16},
+        SgCase{ScheduleType::kInterleaved, 2, 2, 4, 2, kDropRecomputeBf16}));
 
 TEST(PipelineExecutor, ChunkBackwardHookFiresOncePerChunkAfterLastBackward) {
   const int p = 2, m = 4, v = 2;
@@ -354,79 +380,6 @@ TEST(PipelineExecutor, RecomputeMatchesStashedAcrossPipeline) {
     EXPECT_EQ(tensor::max_abs_diff(grad, without.at(name)), 0.0f) << name;
   }
 }
-
-// ---- §14 planned execution across the pipeline ----------------------------
-//
-// Graph mode must be a pure execution-strategy change: for every
-// (scatter_gather × prepost_recv × dtype) combination, a full pipelined batch
-// with recompute and dropout produces bitwise-identical losses and gradients
-// with PTDP_GRAPH on and off.
-
-using GraphCase = std::tuple<bool, bool, tensor::DType>;  // (sg, prepost, dtype)
-
-class GraphEagerEquivalenceTest : public ::testing::TestWithParam<GraphCase> {};
-
-TEST_P(GraphEagerEquivalenceTest, BitwiseIdenticalToEagerAcrossPipeline) {
-  const auto [sg, prepost, dtype] = GetParam();
-  const int p = 2, t = 2, m = 4, v = 1;
-  GptConfig c = tiny_config(/*layers=*/2);
-  c.dropout = 0.1f;  // exercise the dropout topology + recompute replay
-  c.dtype = dtype;
-  auto mbs = make_microbatches(c, m, /*b=*/2);
-
-  struct ModeResult {
-    std::map<std::string, Tensor> grads;
-    std::map<int, float> losses;
-  };
-  std::vector<ModeResult> results(2);
-  for (const bool use_graph : {true, false}) {
-    const bool prev = graph::set_enabled(use_graph);
-    ModeResult& out = results[use_graph ? 0 : 1];
-    std::mutex mu;
-    dist::World world(p * t);
-    world.run([&](dist::Comm& comm) {
-      dist::ProcessGroups groups(comm, p, t, /*d=*/1);
-      const int rank = groups.coord().pipeline;
-      auto chunks = build_chunks(c, groups.tensor(), p, rank, v, /*recompute=*/true);
-      std::vector<GptStage*> raw;
-      for (auto& ch : chunks) {
-        ch->zero_grads();
-        raw.push_back(ch.get());
-      }
-      ExecutorOptions opts{/*scatter_gather=*/sg, /*prepost_recv=*/prepost};
-      opts.boundary_dtype = dtype;
-      PipelineExecutor exec(raw, groups.pipeline(), groups.tensor(),
-                            ScheduleParams{ScheduleType::kOneFOneB, p, m, v}, opts);
-      const float loss = exec.run_batch(mbs);
-      std::lock_guard lock(mu);
-      if (rank == p - 1) out.losses.emplace(comm.rank(), loss);
-      for (auto& ch : chunks) {
-        for (Param* param : ch->params()) {
-          out.grads.emplace("rank" + std::to_string(comm.rank()) + "/" + param->name,
-                            param->grad.clone());
-        }
-      }
-    });
-    graph::set_enabled(prev);
-  }
-
-  ASSERT_EQ(results[0].grads.size(), results[1].grads.size());
-  for (auto& [name, grad] : results[0].grads) {
-    ASSERT_TRUE(results[1].grads.contains(name)) << name;
-    EXPECT_EQ(tensor::max_abs_diff(grad, results[1].grads.at(name)), 0.0f)
-        << name << " differs between graph and eager execution";
-  }
-  ASSERT_EQ(results[0].losses.size(), results[1].losses.size());
-  for (auto& [rank, loss] : results[0].losses) {
-    EXPECT_EQ(loss, results[1].losses.at(rank)) << "loss on rank " << rank;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    GraphSweep, GraphEagerEquivalenceTest,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                       ::testing::Values(tensor::DType::kF32,
-                                         tensor::DType::kBf16)));
 
 TEST(PipelineExecutor, RejectsWrongMicrobatchCount) {
   GptConfig c = tiny_config(2);

@@ -6,8 +6,13 @@
 // paper-vs-measured side by side.
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "ptdp/runtime/parallel_for.hpp"
 #include "ptdp/sim/simulator.hpp"
 
 namespace ptdp::bench {
@@ -16,6 +21,37 @@ inline void header(const char* id, const char* title) {
   std::printf("\n================================================================\n");
   std::printf("%s — %s\n", id, title);
   std::printf("================================================================\n");
+}
+
+/// Host fingerprint for a BENCH_*.json: CPU model, logical CPUs, intra-op
+/// threads and the commit of the working tree (run from the repo root), so
+/// numbers from different hosts are never compared.
+inline std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) == 0 && line.find(':') != std::string::npos) {
+      cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  std::string commit = "unknown";
+  if (std::FILE* git = popen("git describe --always --dirty --abbrev=7 2>/dev/null", "r")) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof buf, git) != nullptr) {
+      commit = buf;
+      while (!commit.empty() && (commit.back() == '\n' || commit.back() == '\r')) {
+        commit.pop_back();
+      }
+    }
+    pclose(git);
+  }
+  std::ostringstream o;
+  o << "{\"cpu_model\": \"" << cpu << "\", \"nproc\": "
+    << std::thread::hardware_concurrency()
+    << ", \"intra_op_threads\": " << runtime::intra_op_threads()
+    << ", \"commit\": \"" << commit << "\"}";
+  return o.str();
 }
 
 inline model::GptConfig gpt(std::int64_t layers, std::int64_t hidden,

@@ -460,7 +460,7 @@ int main(int argc, char** argv) {
       }
       if (comm.rank() == 0 &&
           (step % args.log_every == 0 || step == args.steps - 1)) {
-        std::printf("step %4lld  loss %.4f  lr %.2e  %.0f tok/s  %.0f ms/step  "
+        std::printf("step %4lld  loss %.9g  lr %.2e  %.0f tok/s  %.0f ms/step  "
                     "peak %.1f MB%s\n",
                     static_cast<long long>(stats.step), stats.loss, stats.lr,
                     stats.tokens_per_second, stats.step_seconds * 1e3,
@@ -474,7 +474,7 @@ int main(int argc, char** argv) {
         auto eval_mbs = loader.next_batch(1'000'000 + step);
         const float eval_loss = engine.evaluate(eval_mbs);
         if (comm.rank() == 0) {
-          std::printf("          eval loss %.4f (dropout off)\n", eval_loss);
+          std::printf("          eval loss %.9g (dropout off)\n", eval_loss);
         }
       }
       if (args.ckpt_every > 0 && !args.ckpt_dir.empty() &&

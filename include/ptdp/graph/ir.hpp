@@ -48,6 +48,7 @@ enum class OpKind : std::uint8_t {
   kLinearFwd,          ///< out0 = y, out1 = cached gemm input
   kLinearBwd,          ///< in0 = dy, in1 = cached input; accumulates grads
   kAttnProbMask,       ///< site-keyed attention-probability dropout mask
+                       ///< (unfused plans; fusion folds it into the softmax)
   // normalization
   kLayerNorm,          ///< out = y, mean, rstd
   kLayerNormBwd,       ///< accumulates dgamma/dbeta; out = dx
@@ -71,9 +72,10 @@ enum class OpKind : std::uint8_t {
   kFusedBiasGelu,
   kFusedBiasGeluBwd,
   kFusedBiasDropoutAdd,  ///< out0 = y, out1 = mask
-  kScaleCausalSoftmax,
-  kScaleMaskSoftmax,
-  kScaleSoftmaxBwd,
+  kScaleCausalSoftmax,   ///< out0 = probs [, out1 = probs ⊙ dropout mask]
+  kScaleMaskSoftmax,     ///< same outputs, padding-mask variant
+  kScaleSoftmaxBwd,      ///< in = probs, dprobs or probs, dprobs_dropped,
+                         ///< probs_dropped (keep bit read back from it)
   // serving-only kernel selections (§17): rewritten from kLinearFwd by the
   // select_kernels pass on inference plans — same module call, but the GEMM
   // streams blockwise-quantized weight bytes (Node::quant names the format)

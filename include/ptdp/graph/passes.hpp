@@ -31,6 +31,11 @@ struct QuantPolicy {
 ///   gelu_bwd + bias_grad_accum     -> fused_bias_gelu_bwd)
 ///   scale + mask_fill + softmax    -> fused_scale_{causal,mask}_softmax
 ///   softmax_bwd + scale            -> fused_scale_softmax_bwd
+///   ... + prob_mask + mul          -> the same softmax, which also draws
+///   mul + ...                         the attention-dropout mask (forward)
+///                                     and reads it back from the dropped
+///                                     probabilities (backward); not counted
+///                                     as a fusion of its own
 /// A pattern is legal only when its intermediate values are single-use,
 /// not pinned, and not live into the other graph (except values the fused
 /// kernel itself re-materializes, e.g. the pre-GeLU sum). Returns the number

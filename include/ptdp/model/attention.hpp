@@ -9,6 +9,7 @@
 // as [s, b, h] (sequence-major) to avoid transposes in the hot path.
 
 #include <span>
+#include <vector>
 
 #include "ptdp/dist/comm.hpp"
 #include "ptdp/model/config.hpp"
@@ -45,9 +46,14 @@ class ParallelAttention {
   std::int64_t heads_local() const { return heads_local_; }
   std::int64_t head_dim() const { return head_dim_; }
   std::int64_t hidden_local() const { return hidden_local_; }
-  /// Site-keyed attention-probability dropout mask (kAttentionProb streams,
-  /// keyed by global head so tensor-parallel ranks agree). Public so a
-  /// planned kAttnProbMask node can draw the identical mask.
+  /// The attention-probability dropout streams of one microbatch: one
+  /// site-keyed (kAttentionProb) Rng per (batch, local head) score slab,
+  /// keyed by global head so tensor-parallel ranks draw what the serial
+  /// model draws. The fused softmax kernels take them (tensor::ProbDropout).
+  std::vector<Rng> prob_dropout_rngs(std::int64_t b, std::uint64_t mb_tag) const;
+  /// The same draws as an f32 [b·a/t, s, s] mask, one sequential
+  /// next_bernoulli loop per slab: the unfused plan's kAttnProbMask node,
+  /// the independent reference for the fused kernels' counter-indexed draws.
   tensor::Tensor make_prob_dropout_mask(std::int64_t b, std::uint64_t mb_tag) const;
 
  private:

@@ -34,9 +34,7 @@ class Rng {
       : key_(detail::mix64(seed ^ detail::mix64(stream * 0xda3e39cb94b95bdbULL))) {}
 
   /// Next raw 64-bit draw.
-  constexpr std::uint64_t next_u64() noexcept {
-    return detail::mix64(key_ ^ detail::mix64(counter_++));
-  }
+  constexpr std::uint64_t next_u64() noexcept { return at(counter_++); }
 
   /// Uniform in [0, 1).
   double next_uniform() noexcept {
@@ -70,6 +68,28 @@ class Rng {
 
   /// Bernoulli draw with probability p of true.
   bool next_bernoulli(double p) noexcept { return next_uniform() < p; }
+
+  /// Pure draw at absolute counter c: the value the (c+1)-th next_u64() of a
+  /// fresh stream returns. Reads no state, so a kernel can hand element i
+  /// of a tensor counter base + i and fill the elements in any order.
+  constexpr std::uint64_t at(std::uint64_t c) const noexcept {
+    return detail::mix64(key_ ^ detail::mix64(c));
+  }
+
+  /// Integer form of next_bernoulli(p): a draw u fires iff
+  /// (u >> 11) < bernoulli_threshold(p). next_uniform() is exactly
+  /// (u >> 11)·2^-53, so comparing against ceil(p·2^53) decides every draw
+  /// the same way, and the compare vectorizes.
+  static std::uint64_t bernoulli_threshold(double p) noexcept {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+  }
+
+  /// next_bernoulli at counter c, given threshold = bernoulli_threshold(p).
+  constexpr bool bernoulli_at(std::uint64_t c, std::uint64_t threshold) const noexcept {
+    return (at(c) >> 11) < threshold;
+  }
 
   /// Skip the counter forward (never backward).
   constexpr void discard(std::uint64_t n) noexcept { counter_ += n; }

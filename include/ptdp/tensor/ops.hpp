@@ -77,6 +77,9 @@ bool set_gelu_exact(bool on);
 
 /// Dropout at probability p. Returns y and writes the kept-mask (0/1 scaled
 /// by 1/(1-p)) into `mask` (allocated to x's shape). p == 0 is identity.
+/// Element i draws counter rng.counter() + i (Rng::at), so the mask equals
+/// a sequential next_bernoulli loop at every thread count; rng is then
+/// advanced past the x.numel() draws.
 Tensor dropout(const Tensor& x, float p, Rng& rng, Tensor& mask);
 /// dX = dy * mask.
 Tensor dropout_backward(const Tensor& dy, const Tensor& mask);
@@ -123,23 +126,51 @@ Tensor fused_bias_gelu(const Tensor& x, const Tensor& bias);
 Tensor fused_bias_gelu_backward(const Tensor& dy, const Tensor& x, const Tensor& bias,
                                 Tensor& dbias);
 
-/// y = dropout(x + bias, p) + residual. Mask is written as in dropout().
+/// y = dropout(x + bias, p) + residual in one pass. Mask and draws are
+/// exactly those of dropout(add_bias(x, bias), p, rng, mask).
 Tensor fused_bias_dropout_add(const Tensor& x, const Tensor& bias,
                               const Tensor& residual, float p, Rng& rng,
                               Tensor& mask);
+
+/// Attention-probability dropout folded into the fused softmax kernels.
+/// `slabs` holds one stream per [sq, sk] slab of scores (scores.dim(0)
+/// entries). Element (i, j) of slab r is dropped iff
+/// slabs[r].bernoulli_at(i·sk + j, ·) fires — the draw a sequential
+/// next_bernoulli loop over the slab in row-major order makes — and kept
+/// elements are scaled by 1/(1−p).
+struct ProbDropout {
+  float p = 0.0f;
+  std::span<const Rng> slabs;
+};
 
 /// Scaled causal softmax: y = softmax(scale * s + causal_mask) where s is
 /// [rows, sq, sk] and position i may attend to keys j <= i + (sk - sq).
 /// This is the "implicit causal masking" fused kernel for GPT.
 Tensor fused_scale_causal_softmax(const Tensor& scores, float scl);
+/// Same, plus attention dropout in the same pass: also writes
+/// dropped = y ⊙ mask. Keys above the causal diagonal draw nothing and stay
+/// exactly 0 in both outputs.
+Tensor fused_scale_causal_softmax(const Tensor& scores, float scl,
+                                  const ProbDropout& drop, Tensor& dropped);
 
 /// Scaled general-mask softmax: mask is [sq, sk] with 1 = masked out
 /// (receives -inf), matching BERT-style padding masks.
 Tensor fused_scale_mask_softmax(const Tensor& scores, const Tensor& mask, float scl);
+/// Same, plus attention dropout as in the causal overload (every position
+/// draws; masked ones are 0 in both outputs).
+Tensor fused_scale_mask_softmax(const Tensor& scores, const Tensor& mask, float scl,
+                                const ProbDropout& drop, Tensor& dropped);
 
 /// Backward of either fused softmax: dScores = scale * softmax_backward(y, dy),
 /// with masked positions already zero in y.
 Tensor fused_scale_softmax_backward(const Tensor& y, const Tensor& dy, float scl);
+/// Backward through the dropout overloads: dy is the grad of `dropped`, and
+/// the keep bit is read back from it (dropped != 0), so neither a mask
+/// tensor nor the RNG is needed. Where y is exactly 0 the bit cannot be
+/// read, but there y zeroes the term anyway: the result equals
+/// mul(dy, mask) → softmax_backward → scale up to the sign of those zeros.
+Tensor fused_scale_softmax_backward(const Tensor& y, const Tensor& dy, float scl,
+                                    const Tensor& dropped, float p);
 
 // ---- embedding -----------------------------------------------------------------
 

@@ -175,6 +175,57 @@ int fuse_scale_softmax_bwd(LayerPlan& plan) {
   return n;
 }
 
+// prob_mask + mul (forward) and mul (backward) -> the fused softmax pair.
+// The forward softmax draws the attention-dropout mask in its own pass and
+// also emits the dropped probabilities; the backward softmax reads the keep
+// bit back from them, so the mask value disappears from the plan. Runs
+// after the two softmax fusions and only when both fired: the mask has no
+// consumer left only if the forward and backward muls go together. Extends
+// those fusions, so it adds nothing to the fusion count.
+void absorb_attention_dropout(LayerPlan& plan) {
+  for (std::size_t i = 0; i + 2 < plan.fwd.size(); ++i) {
+    const Node& sm = plan.fwd[i];
+    const Node& pm = plan.fwd[i + 1];
+    const Node& mu = plan.fwd[i + 2];
+    if ((sm.kind != OpKind::kScaleCausalSoftmax &&
+         sm.kind != OpKind::kScaleMaskSoftmax) ||
+        sm.out.size() != 1 || pm.kind != OpKind::kAttnProbMask ||
+        mu.kind != OpKind::kMul || mu.in[0] != sm.out[0] ||
+        mu.in[1] != pm.out[0]) {
+      continue;
+    }
+    const ValueId probs = sm.out[0];
+    const ValueId mask = pm.out[0];
+    const ValueId dropped = mu.out[0];
+    // Backward: mul(dp_dropped, mask) feeding scale_softmax_bwd(probs, ·).
+    std::size_t bj = plan.bwd.size();
+    for (std::size_t j = 0; j + 1 < plan.bwd.size(); ++j) {
+      const Node& bm = plan.bwd[j];
+      const Node& sb = plan.bwd[j + 1];
+      if (bm.kind == OpKind::kMul && bm.in[1] == mask &&
+          sb.kind == OpKind::kScaleSoftmaxBwd && sb.in.size() == 2 &&
+          sb.in[0] == probs && sb.in[1] == bm.out[0]) {
+        bj = j;
+        break;
+      }
+    }
+    if (bj == plan.bwd.size()) continue;
+    const std::vector<int> uses = use_counts(plan);
+    const ValueId dprobs = plan.bwd[bj].out[0];
+    if (plan.values[static_cast<std::size_t>(mask)].pinned ||
+        uses[static_cast<std::size_t>(mask)] != 2 ||
+        !fusable_temp(plan, uses, dprobs)) {
+      continue;
+    }
+    Node& fb = plan.bwd[bj + 1];
+    fb.in = {probs, plan.bwd[bj].in[0], dropped};
+    plan.bwd.erase(plan.bwd.begin() + static_cast<std::ptrdiff_t>(bj));
+    plan.fwd[i].out.push_back(dropped);
+    plan.fwd.erase(plan.fwd.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                   plan.fwd.begin() + static_cast<std::ptrdiff_t>(i + 3));
+  }
+}
+
 const char* dtype_json(tensor::DType d) {
   return d == tensor::DType::kBf16 ? "bf16" : "f32";
 }
@@ -217,6 +268,7 @@ int fuse_operators(LayerPlan& plan) {
   int n = 0;
   n += fuse_scale_softmax(plan);
   n += fuse_scale_softmax_bwd(plan);
+  absorb_attention_dropout(plan);
   n += fuse_bias_gelu(plan);
   n += fuse_bias_dropout_add(plan);
   plan.fused = true;

@@ -37,6 +37,24 @@ ParallelAttention::ParallelAttention(const GptConfig& config,
   head_begin_ = heads_local_ * tp.rank();
 }
 
+std::vector<Rng> ParallelAttention::prob_dropout_rngs(std::int64_t b,
+                                                     std::uint64_t mb_tag) const {
+  std::vector<Rng> rngs;
+  rngs.reserve(static_cast<std::size_t>(b * heads_local_));
+  for (std::int64_t bi = 0; bi < b; ++bi) {
+    for (std::int64_t lh = 0; lh < heads_local_; ++lh) {
+      // Keyed by the *global* head index so tensor-parallel ranks draw the
+      // same mask the serial model draws for this head.
+      const std::int64_t gh = head_begin_ + lh;
+      rngs.push_back(site_rng(config_.seed, mb_tag,
+                              static_cast<std::uint64_t>(layer_idx_),
+                              DropSite::kAttentionProb,
+                              static_cast<std::uint64_t>(bi * config_.heads + gh)));
+    }
+  }
+  return rngs;
+}
+
 Tensor ParallelAttention::make_prob_dropout_mask(std::int64_t b,
                                                  std::uint64_t mb_tag) const {
   const std::int64_t s = config_.seq;
@@ -44,7 +62,8 @@ Tensor ParallelAttention::make_prob_dropout_mask(std::int64_t b,
   const float p = config_.dropout;
   const float keep_scale = 1.0f / (1.0f - p);
   auto dm = mask.data();
-  // Each (batch, head) slab draws from its own site-keyed RNG stream, so the
+  std::vector<Rng> rngs = prob_dropout_rngs(b, mb_tag);
+  // Each (batch, head) slab draws its own stream in element order, so the
   // slabs can be filled by the intra-op pool in any order without changing a
   // single draw.
   const std::int64_t grain =
@@ -52,15 +71,7 @@ Tensor ParallelAttention::make_prob_dropout_mask(std::int64_t b,
   runtime::parallel_for(
       0, b * heads_local_, grain, [&](std::int64_t u0, std::int64_t u1) {
         for (std::int64_t u = u0; u < u1; ++u) {
-          const std::int64_t bi = u / heads_local_;
-          const std::int64_t lh = u % heads_local_;
-          // Keyed by the *global* head index so tensor-parallel ranks draw the
-          // same mask the serial model draws for this head.
-          const std::int64_t gh = head_begin_ + lh;
-          Rng rng = site_rng(config_.seed, mb_tag,
-                             static_cast<std::uint64_t>(layer_idx_),
-                             DropSite::kAttentionProb,
-                             static_cast<std::uint64_t>(bi * config_.heads + gh));
+          Rng& rng = rngs[static_cast<std::size_t>(u)];
           float* slab = dm.data() + u * s * s;
           for (std::int64_t i = 0; i < s * s; ++i) {
             slab[i] = rng.next_bernoulli(p) ? 0.0f : keep_scale;

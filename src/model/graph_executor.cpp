@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "ptdp/model/attention.hpp"
 #include "ptdp/model/config.hpp"
@@ -226,15 +227,31 @@ struct Runner {
         break;
       }
       case OpKind::kScaleCausalSoftmax:
-        at(n.out[0]) = ts::fused_scale_causal_softmax(at(n.in[0]), n.scale);
+      case OpKind::kScaleMaskSoftmax: {
+        const bool causal = n.kind == OpKind::kScaleCausalSoftmax;
+        const Tensor pad = causal ? Tensor() : Tensor({ctx.s, ctx.s});
+        if (n.out.size() == 1) {
+          at(n.out[0]) =
+              causal ? ts::fused_scale_causal_softmax(at(n.in[0]), n.scale)
+                     : ts::fused_scale_mask_softmax(at(n.in[0]), pad, n.scale);
+          break;
+        }
+        // Attention dropout absorbed by the fusion pass: out1 = probs ⊙ mask.
+        const std::vector<Rng> slabs =
+            bind.attn->prob_dropout_rngs(ctx.b, ctx.mb_tag);
+        const ts::ProbDropout drop{ctx.dropout, slabs};
+        at(n.out[0]) = causal ? ts::fused_scale_causal_softmax(
+                                    at(n.in[0]), n.scale, drop, at(n.out[1]))
+                              : ts::fused_scale_mask_softmax(
+                                    at(n.in[0]), pad, n.scale, drop, at(n.out[1]));
         break;
-      case OpKind::kScaleMaskSoftmax:
-        at(n.out[0]) = ts::fused_scale_mask_softmax(
-            at(n.in[0]), Tensor({ctx.s, ctx.s}), n.scale);
-        break;
+      }
       case OpKind::kScaleSoftmaxBwd:
-        at(n.out[0]) = ts::fused_scale_softmax_backward(at(n.in[0]), at(n.in[1]),
-                                                        n.scale);
+        at(n.out[0]) =
+            n.in.size() == 2
+                ? ts::fused_scale_softmax_backward(at(n.in[0]), at(n.in[1]), n.scale)
+                : ts::fused_scale_softmax_backward(at(n.in[0]), at(n.in[1]), n.scale,
+                                                   at(n.in[2]), ctx.dropout);
         break;
     }
   }

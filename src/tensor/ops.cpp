@@ -838,8 +838,6 @@ Tensor gelu_backward(const Tensor& dy, const Tensor& x) {
   return out;
 }
 
-// Stays serial: the Bernoulli draws consume one RNG stream in element order,
-// so splitting the loop would change which element sees which draw.
 Tensor dropout(const Tensor& x, float p, Rng& rng, Tensor& mask) {
   PTDP_CHECK_GE(p, 0.0f);
   PTDP_CHECK_LT(p, 1.0f);
@@ -854,11 +852,19 @@ Tensor dropout(const Tensor& x, float p, Rng& rng, Tensor& mask) {
     return out;
   }
   const float keep_scale = 1.0f / (1.0f - p);
-  for (std::size_t i = 0; i < dx.size(); ++i) {
-    const float m = rng.next_bernoulli(p) ? 0.0f : keep_scale;
-    dm[i] = m;
-    dout[i] = dx[i] * m;
-  }
+  const std::uint64_t base = rng.counter();
+  const std::uint64_t threshold = Rng::bernoulli_threshold(p);
+  const auto n = static_cast<std::int64_t>(dx.size());
+  parallel_for(0, n, kElemGrain, [&](std::int64_t i0, std::int64_t i1) {
+    for (std::int64_t i = i0; i < i1; ++i) {
+      const float m = rng.bernoulli_at(base + static_cast<std::uint64_t>(i), threshold)
+                          ? 0.0f
+                          : keep_scale;
+      dm[static_cast<std::size_t>(i)] = m;
+      dout[static_cast<std::size_t>(i)] = dx[static_cast<std::size_t>(i)] * m;
+    }
+  });
+  rng.discard(static_cast<std::uint64_t>(n));
   return out;
 }
 
@@ -1078,19 +1084,108 @@ Tensor fused_bias_dropout_add(const Tensor& x, const Tensor& bias,
                               const Tensor& residual, float p, Rng& rng,
                               Tensor& mask) {
   PTDP_CHECK(x.same_shape(residual));
-  Tensor biased = add_bias(x, bias);
-  Tensor dropped = dropout(biased, p, rng, mask);
-  add_(dropped, residual);
-  return dropped;
+  PTDP_CHECK_EQ(bias.ndim(), 1);
+  PTDP_CHECK_EQ(x.dim(-1), bias.dim(0));
+  PTDP_CHECK_GE(p, 0.0f);
+  PTDP_CHECK_LT(p, 1.0f);
+  const std::int64_t rows = leading_rows(x);
+  const std::int64_t n = x.dim(-1);
+  mask = Tensor::empty(x.shape());
+  Tensor out = Tensor::empty(x.shape());
+  auto dx = x.data();
+  auto db = bias.data();
+  auto dr = residual.data();
+  auto dm = mask.data();
+  auto dout = out.data();
+  // p == 0 draws nothing and leaves rng where it was, as dropout() does.
+  const bool drop = p != 0.0f;
+  const float keep_scale = 1.0f / (1.0f - p);
+  const std::uint64_t base = rng.counter();
+  const std::uint64_t threshold = Rng::bernoulli_threshold(p);
+  parallel_for(0, rows, row_grain(n), [&](std::int64_t r0, std::int64_t r1) {
+    for (std::int64_t r = r0; r < r1; ++r) {
+      const float* xrow = dx.data() + r * n;
+      const float* rrow = dr.data() + r * n;
+      float* mrow = dm.data() + r * n;
+      float* orow = dout.data() + r * n;
+      const float* brow = db.data();
+      if (!drop) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          const float t = xrow[j] + brow[j];
+          mrow[j] = 1.0f;
+          orow[j] = t + rrow[j];
+        }
+        continue;
+      }
+      const std::uint64_t rbase = base + static_cast<std::uint64_t>(r * n);
+      const Rng stream = rng;  // locals: the stores below cannot alias them
+      const float ks = keep_scale;
+      for (std::int64_t j = 0; j < n; ++j) {
+        const float t = xrow[j] + brow[j];
+        const float m =
+            stream.bernoulli_at(rbase + static_cast<std::uint64_t>(j), threshold)
+                ? 0.0f
+                : ks;
+        mrow[j] = m;
+        orow[j] = t * m;
+      }
+      // The residual add is a second sweep over the row (still in L1): in
+      // the same statement sequence GCC's default -ffp-contract=fast would
+      // fuse t * m + residual into one FMA, and the result would no longer
+      // be add_bias -> dropout -> add_ bit for bit.
+      for (std::int64_t j = 0; j < n; ++j) orow[j] += rrow[j];
+    }
+  });
+  if (drop) rng.discard(static_cast<std::uint64_t>(rows * n));
+  return out;
 }
 
-Tensor fused_scale_causal_softmax(const Tensor& scores, float scl) {
+namespace {
+
+// The softmax's last sweep with dropout folded in: orow[j] *= inv, then
+// drow[j] = orow[j] * mask(j) for j < n, where mask(j) is 0 when counter
+// base + j of `rng` fires and keep_scale otherwise — exactly mul(probs,
+// mask) for the mask a sequential next_bernoulli loop draws.
+void normalize_and_drop(const Rng& rng, std::uint64_t base, std::uint64_t threshold,
+                        float keep_scale, float inv, float* orow, float* drow,
+                        std::int64_t n) {
+  for (std::int64_t j = 0; j < n; ++j) {
+    const float prob = orow[j] * inv;
+    const float m =
+        rng.bernoulli_at(base + static_cast<std::uint64_t>(j), threshold) ? 0.0f
+                                                                          : keep_scale;
+    orow[j] = prob;
+    drow[j] = prob * m;
+  }
+}
+
+struct DropPlan {
+  std::span<const Rng> slabs;
+  std::uint64_t threshold = 0;
+  float keep_scale = 1.0f;
+  float* out = nullptr;  ///< dropped probabilities; null = no dropout
+};
+
+DropPlan plan_drop(const Tensor& scores, const ProbDropout* drop, Tensor* dropped) {
+  if (drop == nullptr) return {};
+  PTDP_CHECK_GE(drop->p, 0.0f);
+  PTDP_CHECK_LT(drop->p, 1.0f);
+  PTDP_CHECK_EQ(static_cast<std::int64_t>(drop->slabs.size()), scores.dim(0))
+      << "one dropout stream per score slab";
+  *dropped = Tensor::empty(scores.shape());
+  return {drop->slabs, Rng::bernoulli_threshold(drop->p), 1.0f / (1.0f - drop->p),
+          dropped->data().data()};
+}
+
+Tensor scale_causal_softmax_impl(const Tensor& scores, float scl,
+                                 const ProbDropout* drop, Tensor* dropped) {
   PTDP_CHECK_EQ(scores.ndim(), 3) << "scores must be [rows, sq, sk]";
   const std::int64_t rows = scores.dim(0);
   const std::int64_t sq = scores.dim(1);
   const std::int64_t sk = scores.dim(2);
   PTDP_CHECK_GE(sk, sq) << "causal mask requires sk >= sq";
   const std::int64_t shift = sk - sq;
+  const DropPlan dp = plan_drop(scores, drop, dropped);
   // Every element is written (masked tail gets explicit zeros).
   Tensor out = Tensor::empty(scores.shape());
   auto dx = scores.data();
@@ -1109,14 +1204,23 @@ Tensor fused_scale_causal_softmax(const Tensor& scores, float scl) {
         denom += orow[j];
       }
       const float inv = 1.0f / denom;
-      for (std::int64_t j = 0; j < valid; ++j) orow[j] *= inv;
       for (std::int64_t j = valid; j < sk; ++j) orow[j] = 0.0f;
+      if (dp.out == nullptr) {
+        for (std::int64_t j = 0; j < valid; ++j) orow[j] *= inv;
+        continue;
+      }
+      float* drow = dp.out + q * sk;
+      normalize_and_drop(dp.slabs[static_cast<std::size_t>(q / sq)],
+                         static_cast<std::uint64_t>(i * sk), dp.threshold,
+                         dp.keep_scale, inv, orow, drow, valid);
+      for (std::int64_t j = valid; j < sk; ++j) drow[j] = 0.0f;
     }
   });
   return out;
 }
 
-Tensor fused_scale_mask_softmax(const Tensor& scores, const Tensor& mask, float scl) {
+Tensor scale_mask_softmax_impl(const Tensor& scores, const Tensor& mask, float scl,
+                               const ProbDropout* drop, Tensor* dropped) {
   PTDP_CHECK_EQ(scores.ndim(), 3) << "scores must be [rows, sq, sk]";
   PTDP_CHECK_EQ(mask.ndim(), 2);
   const std::int64_t rows = scores.dim(0);
@@ -1124,6 +1228,7 @@ Tensor fused_scale_mask_softmax(const Tensor& scores, const Tensor& mask, float 
   const std::int64_t sk = scores.dim(2);
   PTDP_CHECK_EQ(mask.dim(0), sq);
   PTDP_CHECK_EQ(mask.dim(1), sk);
+  const DropPlan dp = plan_drop(scores, drop, dropped);
   Tensor out = Tensor::empty(scores.shape());
   auto dx = scores.data();
   auto dm = mask.data();
@@ -1153,16 +1258,99 @@ Tensor fused_scale_mask_softmax(const Tensor& scores, const Tensor& mask, float 
         }
       }
       const float inv = 1.0f / denom;
-      for (std::int64_t j = 0; j < sk; ++j) orow[j] *= inv;
+      if (dp.out == nullptr) {
+        for (std::int64_t j = 0; j < sk; ++j) orow[j] *= inv;
+        continue;
+      }
+      normalize_and_drop(dp.slabs[static_cast<std::size_t>(q / sq)],
+                         static_cast<std::uint64_t>(i * sk), dp.threshold,
+                         dp.keep_scale, inv, orow, dp.out + q * sk, sk);
     }
   });
   return out;
 }
 
+}  // namespace
+
+Tensor fused_scale_causal_softmax(const Tensor& scores, float scl) {
+  return scale_causal_softmax_impl(scores, scl, nullptr, nullptr);
+}
+
+Tensor fused_scale_causal_softmax(const Tensor& scores, float scl,
+                                  const ProbDropout& drop, Tensor& dropped) {
+  return scale_causal_softmax_impl(scores, scl, &drop, &dropped);
+}
+
+Tensor fused_scale_mask_softmax(const Tensor& scores, const Tensor& mask, float scl) {
+  return scale_mask_softmax_impl(scores, mask, scl, nullptr, nullptr);
+}
+
+Tensor fused_scale_mask_softmax(const Tensor& scores, const Tensor& mask, float scl,
+                                const ProbDropout& drop, Tensor& dropped) {
+  return scale_mask_softmax_impl(scores, mask, scl, &drop, &dropped);
+}
+
+namespace {
+
+// One pass of mul(dy, mask) -> softmax_backward -> scale, with the mask
+// read back from `dropped` (kDrop = false: no dropout, dprobs = dy). The
+// dot sweep stores the dropped-grad row and the last sweep reads it back
+// (d - dot would otherwise contract to an FMA with dy * m), so the result
+// matches the composition bit for bit wherever y != 0.
+template <bool kDrop>
+Tensor scale_softmax_backward_impl(const Tensor& y, const Tensor& dy, float scl,
+                                   const Tensor* dropped, float p) {
+  PTDP_CHECK(y.same_shape(dy));
+  if constexpr (kDrop) {
+    PTDP_CHECK(y.same_shape(*dropped));
+    PTDP_CHECK_GE(p, 0.0f);
+    PTDP_CHECK_LT(p, 1.0f);
+  }
+  const std::int64_t n = y.dim(-1);
+  const std::int64_t rows = leading_rows(y);
+  const float keep_scale = 1.0f / (1.0f - p);
+  Tensor out = Tensor::empty(y.shape());
+  auto dyv = dy.data();
+  auto yv = y.data();
+  const float* dd = kDrop ? dropped->data().data() : nullptr;
+  auto dout = out.data();
+  parallel_for(0, rows, row_grain(n), [&](std::int64_t r0, std::int64_t r1) {
+    for (std::int64_t r = r0; r < r1; ++r) {
+      const float* yrow = yv.data() + r * n;
+      const float* dyrow = dyv.data() + r * n;
+      float* orow = dout.data() + r * n;
+      const float* drow = dyrow;
+      float dot = 0.0f;
+      if constexpr (kDrop) {
+        const float* prow = dd + r * n;
+        const float ks = keep_scale;  // a local: the stores cannot alias it
+        for (std::int64_t j = 0; j < n; ++j) {
+          const float d = dyrow[j] * (prow[j] != 0.0f ? ks : 0.0f);
+          orow[j] = d;
+          dot += yrow[j] * d;
+        }
+        drow = orow;
+      } else {
+        for (std::int64_t j = 0; j < n; ++j) dot += yrow[j] * drow[j];
+      }
+      for (std::int64_t j = 0; j < n; ++j) {
+        const float g = yrow[j] * (drow[j] - dot);
+        orow[j] = g * scl;
+      }
+    }
+  });
+  return out;
+}
+
+}  // namespace
+
 Tensor fused_scale_softmax_backward(const Tensor& y, const Tensor& dy, float scl) {
-  Tensor dx = softmax_backward(y, dy);
-  scale_(dx, scl);
-  return dx;
+  return scale_softmax_backward_impl<false>(y, dy, scl, nullptr, 0.0f);
+}
+
+Tensor fused_scale_softmax_backward(const Tensor& y, const Tensor& dy, float scl,
+                                    const Tensor& dropped, float p) {
+  return scale_softmax_backward_impl<true>(y, dy, scl, &dropped, p);
 }
 
 // ---- embedding -----------------------------------------------------------------

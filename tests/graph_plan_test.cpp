@@ -95,11 +95,12 @@ TEST(GraphBuilder, UnfusedBackwardMirrorsEagerAccumulationOrder) {
 TEST(GraphPasses, FusionRewritesToTheEagerKernelSequence) {
   LayerPlan plan = build_unfused_layer_plan(tiny_config(), /*with_dropout=*/true);
   EXPECT_EQ(fuse_operators(plan), 5);  // softmax fwd+bwd, bias+gelu, 2x bda
+  // The softmax pair also absorbs attention dropout: no prob-mask node and
+  // no mul on either side.
   const std::vector<OpKind> want_fwd = {
       OpKind::kView2D,        OpKind::kLayerNorm,
       OpKind::kLinearFwd,     OpKind::kAttnSplitHeads,
       OpKind::kBmmNT,         OpKind::kScaleCausalSoftmax,
-      OpKind::kAttnProbMask,  OpKind::kMul,
       OpKind::kBmm,           OpKind::kAttnMergeHeads,
       OpKind::kLinearFwd,     OpKind::kFusedBiasDropoutAdd,
       OpKind::kLayerNorm,     OpKind::kLinearFwd,
@@ -112,11 +113,27 @@ TEST(GraphPasses, FusionRewritesToTheEagerKernelSequence) {
       OpKind::kLayerNormBwd,  OpKind::kAdd,          OpKind::kDropoutBwd,
       OpKind::kBiasGradAccum, OpKind::kLinearBwd,
       OpKind::kAttnSplitGradHeads, OpKind::kBmmNT,   OpKind::kBmmTN,
-      OpKind::kMul,           OpKind::kScaleSoftmaxBwd,
+      OpKind::kScaleSoftmaxBwd,
       OpKind::kBmm,           OpKind::kBmmTN,        OpKind::kAttnMergeQkvGrad,
       OpKind::kLinearBwd,     OpKind::kLayerNormBwd, OpKind::kAdd,
       OpKind::kView3D};
   EXPECT_EQ(kinds(plan.bwd), want_bwd);
+  // Forward softmax emits (probs, probs_dropped); backward reads both plus
+  // the grad of the dropped probabilities, and the mask value is dead.
+  const Node& sm = plan.fwd[5];
+  const Node& sb = plan.bwd[14];
+  ASSERT_EQ(sm.out.size(), 2u);
+  EXPECT_EQ(sm.out[0], find_value(plan, "attn.probs"));
+  EXPECT_EQ(sm.out[1], find_value(plan, "attn.probs_dropped"));
+  ASSERT_EQ(sb.in.size(), 3u);
+  EXPECT_EQ(sb.in[0], find_value(plan, "attn.probs"));
+  EXPECT_EQ(sb.in[1], find_value(plan, "d_attn.probs_dropped"));
+  EXPECT_EQ(sb.in[2], find_value(plan, "attn.probs_dropped"));
+  analyze_lifetimes(plan);
+  const Value& mask =
+      plan.values[static_cast<std::size_t>(find_value(plan, "attn.prob_mask"))];
+  EXPECT_EQ(mask.def, -1);
+  EXPECT_EQ(mask.last_use, -1);
 }
 
 TEST(GraphPasses, NonCausalUsesMaskSoftmaxAndDropoutFreeTopologyAliases) {
@@ -321,16 +338,26 @@ void expect_bitwise(const LayerRun& a, const LayerRun& b) {
 }
 
 TEST(GraphExecutor, FusedPlanMatchesUnfusedPlan) {
-  for (const float dropout : {0.0f, 0.3f}) {
-    for (const auto dtype : {tensor::DType::kF32, tensor::DType::kBf16}) {
-      for (const bool recompute : {false, true}) {
-        GptConfig c = tiny_config(dropout);
-        c.dtype = dtype;
-        SCOPED_TRACE("dropout=" + std::to_string(dropout) +
-                     " dtype=" + tensor::dtype_name(dtype) +
-                     " recompute=" + std::to_string(recompute));
-        expect_bitwise(run_layer(c, recompute),
-                       run_layer(c, recompute, /*reference=*/true));
+  // seq 37 is off every vector width; causal = false runs the padding-mask
+  // softmax (BERT).
+  for (const std::int64_t seq : {6, 37}) {
+    for (const bool causal : {true, false}) {
+      for (const float dropout : {0.0f, 0.3f}) {
+        for (const auto dtype : {tensor::DType::kF32, tensor::DType::kBf16}) {
+          for (const bool recompute : {false, true}) {
+            GptConfig c = tiny_config(dropout);
+            c.seq = seq;
+            c.causal = causal;
+            c.dtype = dtype;
+            SCOPED_TRACE("seq=" + std::to_string(seq) +
+                         " causal=" + std::to_string(causal) +
+                         " dropout=" + std::to_string(dropout) +
+                         " dtype=" + tensor::dtype_name(dtype) +
+                         " recompute=" + std::to_string(recompute));
+            expect_bitwise(run_layer(c, recompute),
+                           run_layer(c, recompute, /*reference=*/true));
+          }
+        }
       }
     }
   }

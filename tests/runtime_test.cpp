@@ -97,6 +97,43 @@ TEST(Rng, DiscardSkipsDraws) {
   EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
+TEST(Rng, AtEqualsSequentialDraw) {
+  Rng seq(77, 5);
+  const Rng pure(77, 5);
+  for (std::uint64_t c = 0; c < 1000; ++c) {
+    ASSERT_EQ(pure.at(c), seq.next_u64()) << "counter " << c;
+  }
+  // at() indexes absolutely and reads no counter state.
+  Rng advanced(77, 5);
+  advanced.discard(123);
+  EXPECT_EQ(advanced.at(7), pure.at(7));
+  EXPECT_EQ(advanced.at(123), advanced.next_u64());
+}
+
+TEST(Rng, IntegerKeepTestEqualsNextBernoulli) {
+  // The kernels pass float probabilities; cover both spellings.
+  std::vector<double> ps = {1e-6, 0.01, 0.1, 0.5, 0.9, 0.999};
+  for (const float pf : {1e-6f, 0.01f, 0.1f, 0.5f, 0.9f, 0.999f}) ps.push_back(pf);
+  for (const double p : ps) {
+    const std::uint64_t threshold = Rng::bernoulli_threshold(p);
+    Rng seq(3, 9);
+    const Rng pure(3, 9);
+    for (std::uint64_t c = 0; c < (1u << 16); ++c) {
+      ASSERT_EQ(pure.bernoulli_at(c, threshold), seq.next_bernoulli(p))
+          << "p " << p << " counter " << c;
+    }
+    // At the boundary: next_uniform() is exactly (u >> 11)·2^-53.
+    for (const std::uint64_t x : {threshold - 1, threshold, threshold + 1}) {
+      const double uniform = static_cast<double>(x) * 0x1.0p-53;
+      EXPECT_EQ(x < threshold, uniform < p) << "p " << p << " x " << x;
+    }
+  }
+  EXPECT_EQ(Rng::bernoulli_threshold(0.0), 0u);
+  EXPECT_EQ(Rng::bernoulli_threshold(-0.5), 0u);
+  EXPECT_EQ(Rng::bernoulli_threshold(1.0), std::uint64_t{1} << 53);
+  EXPECT_EQ(Rng::bernoulli_threshold(0.5), std::uint64_t{1} << 52);
+}
+
 TEST(Rng, SubstreamIsOrderSensitive) {
   EXPECT_NE(substream(1, 2), substream(2, 1));
   EXPECT_NE(substream(0, 0, 1), substream(0, 1, 0));

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ptdp/dist/world.hpp"
@@ -258,6 +261,129 @@ TEST(ParallelDeterminism, FusedSoftmaxBitwiseStable) {
   Tensor mask({37, 37});  // nothing masked
   expect_bitwise_stable(
       [&] { return tensor::fused_scale_mask_softmax(scores, mask, 0.125f); });
+}
+
+// ---- dropout: counter-indexed draws vs the sequential stream --------------------
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  const auto da = a.data();
+  const auto db = b.data();
+  return a.same_shape(b) &&
+         std::memcmp(da.data(), db.data(), da.size() * sizeof(float)) == 0;
+}
+
+// One next_bernoulli per element in order: the loop the counter-indexed
+// kernels must reproduce.
+Tensor sequential_mask(Rng rng, const tensor::Shape& shape, float p) {
+  Tensor mask = Tensor::empty(shape);
+  for (float& m : mask.data()) m = rng.next_bernoulli(p) ? 0.0f : 1.0f / (1.0f - p);
+  return mask;
+}
+
+TEST(ParallelDeterminism, DropoutMatchesSequentialStream) {
+  ThreadGuard guard;
+  Rng init(25);
+  // More than one parallel_for grain, and a row length off the vector width.
+  const Tensor x = Tensor::randn({300, 257}, init);
+  const Tensor bias = Tensor::randn({257}, init);
+  const Tensor residual = Tensor::randn({300, 257}, init);
+  for (const float p : {0.1f, 0.5f}) {
+    Rng start(26, 1);
+    start.discard(5);  // draws continue from the stream's current counter
+    const Tensor ref_mask = sequential_mask(start, x.shape(), p);
+    const Tensor biased = tensor::add_bias(x, bias);
+    const Tensor ref_y = tensor::mul(x, ref_mask);
+    const Tensor ref_fused = tensor::add(tensor::mul(biased, ref_mask), residual);
+    for (const std::size_t threads : {1u, 3u}) {
+      runtime::set_intra_op_threads(threads);
+      SCOPED_TRACE("p=" + std::to_string(p) + " threads=" + std::to_string(threads));
+      Rng rng = start;
+      Tensor mask;
+      const Tensor y = tensor::dropout(x, p, rng, mask);
+      EXPECT_TRUE(same_bits(mask, ref_mask));
+      EXPECT_TRUE(same_bits(y, ref_y));
+      EXPECT_EQ(rng.counter(), start.counter() + static_cast<std::uint64_t>(x.numel()));
+      Rng frng = start;
+      Tensor fmask;
+      const Tensor fy = tensor::fused_bias_dropout_add(x, bias, residual, p, frng, fmask);
+      EXPECT_TRUE(same_bits(fmask, ref_mask));
+      EXPECT_TRUE(same_bits(fy, ref_fused));
+      EXPECT_EQ(frng.counter(), rng.counter());
+    }
+  }
+}
+
+// Attention dropout folded into the fused softmax kernels, against the
+// sequential reference: softmax -> one next_bernoulli loop per [sq, sk] slab
+// (the unfused plan's mask) -> mul forward, and mul -> softmax_backward ->
+// scale backward. Causal and padding-mask variants, square and sk > sq.
+TEST(FusedSoftmaxDropout, MatchesSequentialReference) {
+  ThreadGuard guard;
+  constexpr std::int64_t kSlabs = 4;
+  const float scl = 0.3f;
+  const std::vector<std::pair<std::int64_t, std::int64_t>> shapes = {
+      {1, 1}, {6, 6}, {37, 37}, {129, 129}, {6, 37}, {37, 129}};
+  for (const auto& [sq, sk] : shapes) {
+    Rng init(27, static_cast<std::uint64_t>(sq * 1000 + sk));
+    const Tensor scores = Tensor::randn({kSlabs, sq, sk}, init);
+    const Tensor dp = Tensor::randn({kSlabs, sq, sk}, init);
+    // Padding mask with key 0 always visible, so no row is fully masked.
+    Tensor pad({sq, sk});
+    for (std::int64_t i = 0; i < sq; ++i) {
+      for (std::int64_t j = 1; j < sk; ++j) {
+        pad.at({i, j}) = (i + 2 * j) % 5 == 3 ? 1.0f : 0.0f;
+      }
+    }
+    std::vector<Rng> slabs;
+    for (std::int64_t r = 0; r < kSlabs; ++r) {
+      slabs.emplace_back(28, substream(static_cast<std::uint64_t>(r), 2));
+    }
+    for (const bool causal : {true, false}) {
+      const Tensor probs = causal ? tensor::fused_scale_causal_softmax(scores, scl)
+                                  : tensor::fused_scale_mask_softmax(scores, pad, scl);
+      for (const float p : {0.01f, 0.1f, 0.5f, 0.9f}) {
+        Tensor mask = Tensor::empty({kSlabs, sq, sk});
+        for (std::int64_t r = 0; r < kSlabs; ++r) {
+          const Tensor slab = sequential_mask(slabs[static_cast<std::size_t>(r)],
+                                              {sq, sk}, p);
+          std::copy(slab.data().begin(), slab.data().end(),
+                    mask.data().begin() + r * sq * sk);
+        }
+        const Tensor ref_dropped = tensor::mul(probs, mask);
+        const Tensor ref_ds = tensor::scale(
+            tensor::softmax_backward(probs, tensor::mul(dp, mask)), scl);
+        const tensor::ProbDropout drop{p, slabs};
+        for (const std::size_t threads : {1u, 3u}) {
+          runtime::set_intra_op_threads(threads);
+          SCOPED_TRACE("sq=" + std::to_string(sq) + " sk=" + std::to_string(sk) +
+                       " causal=" + std::to_string(causal) +
+                       " p=" + std::to_string(p) +
+                       " threads=" + std::to_string(threads));
+          Tensor dropped;
+          const Tensor y =
+              causal ? tensor::fused_scale_causal_softmax(scores, scl, drop, dropped)
+                     : tensor::fused_scale_mask_softmax(scores, pad, scl, drop, dropped);
+          EXPECT_TRUE(same_bits(y, probs));
+          EXPECT_TRUE(same_bits(dropped, ref_dropped));
+          const Tensor ds =
+              tensor::fused_scale_softmax_backward(probs, dp, scl, dropped, p);
+          // Bitwise wherever the probability is nonzero; where it is exactly
+          // 0 the keep bit is unreadable and only the sign of 0 may differ.
+          const auto dsv = ds.data();
+          const auto refv = ref_ds.data();
+          const auto pv = probs.data();
+          for (std::size_t e = 0; e < dsv.size(); ++e) {
+            if (pv[e] != 0.0f) {
+              ASSERT_EQ(std::memcmp(&dsv[e], &refv[e], sizeof(float)), 0) << e;
+            } else {
+              ASSERT_EQ(dsv[e], 0.0f) << e;
+              ASSERT_EQ(refv[e], 0.0f) << e;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- intra-op parallelism inside a dist gang ----------------------------------
